@@ -133,21 +133,6 @@ pub enum SlotState {
     Free,
 }
 
-/// One partition's keep window (`CurrentTS`, `CurrentTS - SetpointTS`),
-/// snapshotted once per miss walk. A mid-walk setpoint adjustment thus
-/// takes effect from the next walk — adjustments happen at most once per
-/// `c = 256` candidates, well inside the feedback loop's time constant.
-#[derive(Clone, Copy, Debug, Default)]
-struct KeepWin {
-    current: u8,
-    window: u8,
-    /// Draining slot: every resident line counts as stale. A destroyed
-    /// partition's coarse clock never advances again (only its own
-    /// accesses tick it), so without this its freshest lines would read
-    /// age 0 forever and the drain would stall short of empty.
-    draining: bool,
-}
-
 /// A Vantage-partitioned last-level cache over any [`CacheArray`].
 ///
 /// # Example
@@ -199,16 +184,12 @@ pub struct VantageLlc {
     vstats: VantageStats,
     walk: Walk,
     moves: Vec<(Frame, Frame)>,
-    /// Per-walk keep-window snapshots (SetpointLru rule), reused across
-    /// misses to stay allocation-free.
-    win: Vec<KeepWin>,
-    /// Candidate-scan scratch lanes (SetpointLru fast path): the walk's
-    /// tag metadata gathered once into contiguous lanes, plus the
-    /// branchless stale mask evaluated over them. Persistent so the miss
-    /// path never allocates.
+    /// Candidate-scan scratch lanes (SetpointLru rule): each candidate's
+    /// tag and stale bit, gathered in one pass before the walk changes
+    /// any state. Persistent so the miss path never allocates.
     scan_part: Vec<u16>,
     scan_ts: Vec<u8>,
-    scan_stale: Vec<u8>,
+    scan_stale: Vec<bool>,
     probe: bool,
     samples: Vec<PrioritySample>,
     /// Cumulative lines lost per partition (demotion or eviction) — the
@@ -324,7 +305,6 @@ impl VantageLlc {
             vstats: VantageStats::default(),
             walk: Walk::with_capacity(64),
             moves: Vec::with_capacity(8),
-            win: Vec::with_capacity(partitions),
             scan_part: Vec::with_capacity(64),
             scan_ts: Vec::with_capacity(64),
             scan_stale: Vec::with_capacity(64),
@@ -460,6 +440,12 @@ impl VantageLlc {
     pub fn tag_of(&self, addr: LineAddr) -> Option<(u16, u8)> {
         let f = self.array.lookup(addr)? as usize;
         Some((self.meta.part(f), self.meta.ts(f)))
+    }
+
+    /// The per-frame tag store, read-only (instrumentation: its clamp
+    /// work counters, [`TagMeta::sweeps`] and [`TagMeta::frames_swept`]).
+    pub fn tag_meta(&self) -> &TagMeta {
+        &self.meta
     }
 
     /// Installs targets with typed errors instead of panics (the
@@ -1137,9 +1123,8 @@ impl VantageLlc {
 
         // --- Demotion pass over all candidates (§4.3, "Misses"). ---
         // Per-candidate invariants are hoisted out of the loop: the
-        // `DemotionMode` × `RankMode` dispatch collapses to a [`DemoteRule`],
-        // the feedback constants become locals, and (SetpointLru) each
-        // partition's keep window is snapshotted once per walk.
+        // `DemotionMode` × `RankMode` dispatch collapses to a [`DemoteRule`]
+        // and the feedback constants become locals.
         let rule = match (self.cfg.demotion_mode, self.cfg.rank) {
             (DemotionMode::Setpoint, RankMode::Lru) => DemoteRule::SetpointLru,
             (DemotionMode::Setpoint, RankMode::Rrip { .. }) => DemoteRule::SetpointRrip,
@@ -1148,95 +1133,46 @@ impl VantageLlc {
         };
         let cands_period = self.cfg.cands_period;
         let max_rrpv = self.max_rrpv;
-        // Snapshotting every keep window per miss is O(partitions) — fine
-        // for a handful of cores, ruinous at service-mode populations
-        // (thousands of tenants). Past the broadcast width the stale mask
-        // reads each candidate's own partition instead, so the snapshot is
-        // skipped entirely; both reads happen before any per-walk state
-        // mutation, so the two paths stay bit-identical.
-        let broadcast = self.parts.len() <= 8;
-        if rule == DemoteRule::SetpointLru && broadcast {
-            self.win.clear();
-            self.win.extend(
-                self.parts
-                    .iter()
-                    .zip(self.slot_state.iter())
-                    .map(|(st, slot)| KeepWin {
-                        current: st.lru.current(),
-                        window: st.keep_window(),
-                        draining: *slot == SlotState::Draining,
-                    }),
-            );
-        }
         let mut empty: Option<usize> = None;
         let mut best_um: Option<(usize, u8)> = None; // (walk idx, age/rrpv)
         let mut first_demoted: Option<usize> = None;
         let mut best_managed: Option<(usize, u8)> = None; // exactly-one pick
         if rule == DemoteRule::SetpointLru {
-            // Fast path for the practical controller: the walk's tags are
-            // gathered once into contiguous scratch lanes, the stale test
-            // (the only per-candidate predicate that depends solely on the
-            // per-walk keep-window snapshot) is evaluated branchlessly over
-            // whole lanes, and a serial resolution pass then applies the
-            // walk-order-dependent state updates. Bit-identical to the
-            // generic loop below: candidate frames are deduplicated, so no
-            // mid-walk demotion can change another candidate's tag, and
-            // everything order-sensitive — the live `actual > target`
-            // check, the candidate meters, unmanaged ages against the
-            // advancing unmanaged clock — stays in walk order.
+            // The practical controller scans in two passes. The gather
+            // pass reads each candidate's tag and judges it stale against
+            // its partition's keep window (`CurrentTS - SetpointTS`), as the
+            // hardware does while the walk streams by. It reads the live
+            // window, which is exact: no setpoint, clock or slot state moves
+            // before the resolution pass, so a mid-walk setpoint adjustment
+            // takes effect from the next walk. A draining slot counts every
+            // line as stale: its coarse clock never advances again, so its
+            // freshest lines would otherwise read age 0 forever and the
+            // drain would stall short of empty.
             //
-            // The old per-candidate loop interleaved two dependent random
-            // loads (partition lane, stamp lane) with controller updates;
-            // splitting the gather lets those loads issue back to back
-            // (full memory-level parallelism) and the mask pass
-            // autovectorize.
-            let n = walk.nodes.len();
-            let occ = walk
-                .nodes
-                .iter()
-                .position(|nd| !nd.is_occupied())
-                .unwrap_or(n);
-            if occ < n {
-                empty = Some(occ); // the scan stops at the first empty frame
-            }
+            // The resolution pass then applies the walk-order-dependent
+            // updates: the live `actual > target` check, the candidate
+            // meters, unmanaged ages against the advancing unmanaged clock.
+            // Candidate frames are deduplicated, so no mid-walk demotion
+            // changes another candidate's tag.
             self.scan_part.clear();
             self.scan_ts.clear();
-            for node in &walk.nodes[..occ] {
-                let f = node.frame as usize;
-                self.scan_part.push(self.meta.part(f));
-                self.scan_ts.push(self.meta.ts(f));
-            }
             self.scan_stale.clear();
-            self.scan_stale.resize(occ, 0);
-            if broadcast {
-                // Gather-free: broadcast each partition's window over the
-                // candidate lanes (few partitions — the common case).
-                for (q, w) in self.win.iter().enumerate() {
-                    let q16 = q as u16;
-                    for i in 0..occ {
-                        let hit = u8::from(self.scan_part[i] == q16)
-                            & (u8::from(w.current.wrapping_sub(self.scan_ts[i]) > w.window)
-                                | u8::from(w.draining));
-                        self.scan_stale[i] |= hit;
-                    }
+            for (i, node) in walk.nodes.iter().enumerate() {
+                if !node.is_occupied() {
+                    empty = Some(i); // the scan stops at the first empty frame
+                    break;
                 }
-            } else {
-                // Many partitions: one window lookup per candidate beats
-                // npart passes over the lanes (and no per-miss snapshot of
-                // every partition's window is ever built). Reading the live
-                // state here is safe: no setpoint or clock moves until the
-                // resolution loop below.
-                for i in 0..occ {
-                    let q = self.scan_part[i] as usize;
-                    if let Some(st) = self.parts.get(q) {
-                        self.scan_stale[i] =
-                            u8::from(
-                                st.lru.current().wrapping_sub(self.scan_ts[i]) > st.keep_window(),
-                            ) | u8::from(self.slot_state[q] == SlotState::Draining);
-                    }
-                }
+                let f = node.frame as usize;
+                let (q, ts) = (self.meta.part(f), self.meta.ts(f));
+                let stale = self.parts.get(q as usize).is_some_and(|st| {
+                    (st.lru.current().wrapping_sub(ts) > st.keep_window())
+                        | (self.slot_state[q as usize] == SlotState::Draining)
+                });
+                self.scan_part.push(q);
+                self.scan_ts.push(ts);
+                self.scan_stale.push(stale);
             }
-            for i in 0..occ {
+            for i in 0..self.scan_part.len() {
                 let (tag_part, tag_ts) = (self.scan_part[i], self.scan_ts[i]);
                 if tag_part == UNMANAGED {
                     let age = self.um_lru.age(tag_ts);
@@ -1256,10 +1192,10 @@ impl VantageLlc {
                 }
                 // The over-target check stays live so one walk never
                 // demotes a partition below its target; combined with the
-                // precomputed stale mask without short-circuiting, as in
+                // gathered stale bit without short-circuiting, as in
                 // `should_demote_ts`.
                 let st = &self.parts[q];
-                let demote = (st.actual > st.target) & (self.scan_stale[i] != 0);
+                let demote = (st.actual > st.target) & self.scan_stale[i];
                 if let Some(fb) = self.parts[q].note_candidate(demote, cands_period, max_rrpv) {
                     self.vstats.setpoint_adjustments += 1;
                     if self.tele.enabled() {
