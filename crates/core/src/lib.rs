@@ -66,7 +66,7 @@ pub mod resize;
 
 pub use config::{DemotionMode, RankMode, VantageConfig};
 pub use controller::{PartitionState, ThresholdTable};
-pub use engine::{Engine, EngineKind};
+pub use engine::EngineKind;
 pub use error::{ConfigError, VantageError};
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use llc::{PrioritySample, ScrubReport, VantageLlc, VantageStats, UNMANAGED};

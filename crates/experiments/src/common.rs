@@ -44,9 +44,9 @@ pub const USAGE: &str = "options:
   --jobs N     worker threads for mix-level parallelism
   --banks N    shard each simulated LLC across N address-interleaved banks
   --bank-jobs M  worker threads serving banked batches (<= 1 is serial)
-  --engine E   execution engine for banked machines: serial, batched
-               (default), or pipelined (per-bank ring buffers, bank-major
-               drains, epoch barriers)
+  --engine E   execution engine for banked machines: batched (default) or
+               pipelined (per-bank ring buffers, bank-major drains, epoch
+               barriers); results are identical under either
   --quick      drastically reduced scale for smoke runs
   --policy P   allocation policy driving partition targets on UCP-managed
                schemes: ucp (default), equal, missratio, qos, clustered
@@ -157,9 +157,7 @@ impl Options {
                 "--engine" => {
                     let v = take()?;
                     o.engine = vantage::EngineKind::parse(&v).ok_or_else(|| {
-                        UsageError(format!(
-                            "--engine expects serial, batched or pipelined, got '{v}'"
-                        ))
+                        UsageError(format!("--engine expects batched or pipelined, got '{v}'"))
                     })?;
                 }
                 "--quick" => o.quick = true,
@@ -730,6 +728,18 @@ mod tests {
         let err = Options::try_parse(&["--policy".to_string(), "bogus".to_string()])
             .expect_err("bad policy rejected");
         assert!(err.0.contains("--policy"));
+    }
+
+    #[test]
+    fn engine_flag_reaches_the_machine() {
+        let o = Options::parse(&["--engine".to_string(), "pipelined".to_string()]);
+        let sys = o.machine(SystemConfig::small_scale());
+        assert_eq!(sys.engine, vantage::EngineKind::Pipelined);
+        let sys = Options::default().machine(SystemConfig::small_scale());
+        assert_eq!(sys.engine, vantage::EngineKind::Batched);
+        let err = Options::try_parse(&["--engine".to_string(), "serial".to_string()])
+            .expect_err("serial engine rejected");
+        assert!(err.0.contains("--engine"), "{}", err.0);
     }
 
     #[test]

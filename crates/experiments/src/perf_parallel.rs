@@ -6,9 +6,11 @@
 //! harness measures both halves of that claim on the acceptance-gate
 //! configuration (Vantage on Z4/52 banks):
 //!
-//! * **Scaling** — aggregate accesses/second of the batched
-//!   [`ParallelBankedLlc`] versus the serial per-access [`BankedLlc`]
-//!   baseline at 2, 4 and 8 banks, on identical seeded workloads.
+//! * **Scaling** — aggregate accesses/second of the batched engine versus
+//!   the serial per-access [`BankedLlc`] baseline at 2, 4 and 8 banks, on
+//!   identical seeded workloads. The batched side follows the rule
+//!   `Scheme::try_build` uses: the bank-grouped [`BankedLlc`] at
+//!   `--bank-jobs 1`, the [`PipelinedBankedLlc`] worker pool above it.
 //! * **Determinism** — every run folds its outcome stream, final
 //!   statistics and partition sizes into one FNV-1a digest; the serial and
 //!   batched digests must be bit-identical at every bank count. A mismatch
@@ -32,8 +34,8 @@ use vantage::{VantageConfig, VantageLlc};
 use vantage_cache::hash::mix64;
 use vantage_cache::{LineAddr, ZArray};
 use vantage_partitioning::{
-    pipeline::DIGEST_SEED, AccessOutcome, AccessRequest, BankedLlc, Llc, ParallelBankedLlc,
-    PartitionId, PipelinedBankedLlc, RingStats, Sharded,
+    pipeline::DIGEST_SEED, AccessOutcome, AccessRequest, BankedLlc, Llc, PartitionId,
+    PipelinedBankedLlc, RingStats, Sharded,
 };
 
 use vantage_bench::BenchRecord;
@@ -248,6 +250,18 @@ fn build_banked(frames: usize, banks: usize, seed: u64) -> BankedLlc {
     llc
 }
 
+/// The batched side of the sweep, picked by the rule `Scheme::try_build`
+/// uses: the bank-grouped [`BankedLlc`] on the calling thread at
+/// `jobs <= 1`, the [`PipelinedBankedLlc`] worker pool otherwise.
+fn build_batched(frames: usize, banks: usize, seed: u64, jobs: usize) -> Box<dyn Llc> {
+    let banked = build_banked(frames, banks, seed);
+    if jobs <= 1 {
+        Box::new(banked)
+    } else {
+        Box::new(PipelinedBankedLlc::from_banked(banked, jobs))
+    }
+}
+
 /// The shared workload: uniform random lines over `PARTS` partitions, each
 /// with a private working set of `2 * frames` lines (8x total capacity
 /// pressure), keeping the sweep miss-heavy and memory-bound — the regime
@@ -418,9 +432,8 @@ fn run_sweep(opts: &Options, scale: Scale) -> (Vec<ScalingResult>, f64, f64) {
             // every round replays the identical simulation (equal digests)
             // and only the timing differs.
             let mut serial = build_banked(scale.frames, banks, seed);
-            let mut par =
-                ParallelBankedLlc::from_banked(build_banked(scale.frames, banks, seed), jobs);
-            let (ms, mb, ratio) = run_pair(&mut serial, &mut par, &reqs, warmup);
+            let mut batched = build_batched(scale.frames, banks, seed, jobs);
+            let (ms, mb, ratio) = run_pair(&mut serial, &mut *batched, &reqs, warmup);
             if rounds > 1 {
                 eprintln!(
                     "  banked{banks} round {}/{rounds}: {:>10.0} serial, {:>10.0} batched \
@@ -834,8 +847,8 @@ mod tests {
         let warmup = scale.warmup as usize;
         for jobs in [1, 2] {
             let mut serial = build_banked(scale.frames, 4, seed);
-            let mut par = ParallelBankedLlc::from_banked(build_banked(scale.frames, 4, seed), jobs);
-            let (ms, mb, _ratio) = run_pair(&mut serial, &mut par, &reqs, warmup);
+            let mut batched = build_batched(scale.frames, 4, seed, jobs);
+            let (ms, mb, _ratio) = run_pair(&mut serial, &mut *batched, &reqs, warmup);
             assert_eq!(ms.hash, mb.hash, "jobs={jobs} diverged from serial");
         }
     }

@@ -115,8 +115,8 @@ impl ChannelMeasurement {
     }
 
     /// FNV-1a digest of the `(secret, misses)` trial sequence — the
-    /// engine-equivalence fingerprint (identical across
-    /// Serial/Batched/Pipelined engines for the same machine and seed).
+    /// engine-equivalence fingerprint (identical across the batched and
+    /// pipelined engines for the same machine and seed).
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |b: u64| {

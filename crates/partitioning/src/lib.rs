@@ -23,7 +23,6 @@ pub mod caps;
 pub mod error;
 pub mod hist;
 pub mod llc;
-pub mod parallel;
 pub mod pipeline;
 pub mod pipp;
 pub mod sharded;
@@ -39,7 +38,6 @@ pub use llc::{
     AccessKind, AccessOutcome, AccessRequest, LifecycleError, Llc, LlcStats, PartitionObservations,
     PartitionSpec,
 };
-pub use parallel::ParallelBankedLlc;
 pub use pipeline::{PipelinedBankedLlc, RingStats};
 pub use pipp::{PippConfig, PippLlc};
 pub use sharded::Sharded;

@@ -38,6 +38,11 @@
 //! per bank, round-robin over workers) so consumption overlaps production;
 //! with `jobs <= 1` the same rings buffer the window in-process and the
 //! drain runs inline. Both paths serve identical per-bank sequences.
+//!
+//! This is the only threaded banked engine: [`Llc::access_batch`] quiesces
+//! on entry and drains in full before it returns, so a driver that feeds
+//! whole batches gets "parallel batched" service with a barrier at every
+//! call edge, and [`BankedLlc`] stays the single-threaded reference.
 
 use std::collections::VecDeque;
 
@@ -71,12 +76,16 @@ struct WorkBatch {
     reqs: Vec<AccessRequest>,
 }
 
-/// Ring-occupancy accounting, sampled every time a batch is enqueued on a
-/// bank ring. `peak_depth` is the deepest any ring has been (in batches);
-/// `mean_depth` averages the depth over enqueue events. Deep rings mean
-/// production outruns consumption between barriers — the buffering the
-/// engine exists to exploit; a peak at the configured ring capacity means
-/// inline backpressure drains fired.
+/// Ring-occupancy accounting, sampled when a batch is pushed onto a bank
+/// ring by [`PipelinedBankedLlc::ingest`] or [`PipelinedBankedLlc::barrier`],
+/// and when the inline [`Llc::access_batch`] path fills a staging batch.
+/// Two enqueues are not sampled: the partial batches `access_batch` flushes
+/// at the end of each call, and the batches a `jobs > 1` window streams
+/// straight to its workers. `peak_depth` is the deepest any sampled ring
+/// has been (in batches); `mean_depth` averages the depth over samples.
+/// Deep rings mean production outruns consumption between barriers — the
+/// buffering the engine exists to exploit; a peak at the configured ring
+/// capacity means inline backpressure drains fired.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RingStats {
     /// Deepest observed ring depth, in batches.
@@ -269,7 +278,8 @@ impl PipelinedBankedLlc {
         &self.inner
     }
 
-    /// Unwraps back into the serial engine, discarding any queued work.
+    /// Unwraps back into the serial engine, first serving any queued work
+    /// (an implicit [`barrier`](Self::barrier)).
     pub fn into_banked(mut self) -> BankedLlc {
         self.barrier();
         self.inner

@@ -246,21 +246,19 @@ pub struct SystemConfig {
     pub banks: usize,
     /// Worker threads serving banked batches. `<= 1` serves banks serially
     /// on the calling thread; larger values (meaningful only with
-    /// `banks > 1`) spin up a scoped worker pool per batch. Results are
+    /// `banks > 1`) serve each batch over a scoped worker pool. Results are
     /// bit-identical either way.
     pub bank_jobs: usize,
-    /// Execution engine for banked machines (`banks > 1`):
-    /// [`EngineKind::Batched`] (the default) serves driver batches through
-    /// the grouped [`BankedLlc`](vantage_partitioning::BankedLlc) path — or
-    /// the worker-pool
-    /// [`ParallelBankedLlc`](vantage_partitioning::ParallelBankedLlc) when
-    /// `bank_jobs > 1` — while [`EngineKind::Pipelined`] routes accesses
-    /// through the ring-buffered
-    /// [`PipelinedBankedLlc`](vantage_partitioning::PipelinedBankedLlc)
-    /// with bank-major drains and epoch barriers. [`EngineKind::Serial`]
-    /// builds the same cache as `Batched`; the distinction matters to
-    /// drivers (one `access` per request), not to construction. Results
-    /// are bit-identical across engines; unbanked machines ignore this.
+    /// Execution engine for banked machines (`banks > 1`). One rule picks
+    /// the cache: [`EngineKind::Batched`] (the default) at
+    /// `bank_jobs <= 1` builds the grouped
+    /// [`BankedLlc`](vantage_partitioning::BankedLlc); every other banked
+    /// machine builds the ring-buffered
+    /// [`PipelinedBankedLlc`](vantage_partitioning::PipelinedBankedLlc),
+    /// whose `access_batch` quiesces on entry and drains before returning,
+    /// so `Batched` with `bank_jobs > 1` is the same batches served by its
+    /// worker pool. Results are bit-identical across engines; unbanked
+    /// machines ignore this.
     pub engine: EngineKind,
     /// L2 hit latency in cycles (L1-to-bank + bank).
     pub l2_latency: u64,

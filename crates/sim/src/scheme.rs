@@ -9,9 +9,9 @@ use vantage_cache::{
     CacheArray, RandomArray, RripConfig, RripMode, SetAssocArray, SkewArray, ZArray,
 };
 use vantage_partitioning::{
-    BankedLlc, BaselineLlc, HasInvariants, HasPartitionPolicy, LifecycleError, Llc,
-    ParallelBankedLlc, PartitionId, PartitionSpec, PipelinedBankedLlc, PippConfig, PippLlc,
-    RankPolicy, SchemeConfigError, Sharded, WayPartLlc,
+    BankedLlc, BaselineLlc, HasInvariants, HasPartitionPolicy, LifecycleError, Llc, PartitionId,
+    PartitionSpec, PipelinedBankedLlc, PippConfig, PippLlc, RankPolicy, SchemeConfigError, Sharded,
+    WayPartLlc,
 };
 use vantage_telemetry::Telemetry;
 
@@ -113,26 +113,20 @@ pub enum Scheme {
     /// Vantage.
     Vantage(VantageLlc),
     /// Any of the above sharded across address-interleaved banks
-    /// (`SystemConfig::banks > 1`), served serially.
+    /// (`SystemConfig::banks > 1`), served on the calling thread by the
+    /// batched engine (`bank_jobs <= 1`).
     Banked {
         /// The sharded cache.
         llc: BankedLlc,
         /// Whether UCP drives the wrapped scheme (false for baselines).
         ucp: bool,
     },
-    /// A banked machine served by a worker pool
-    /// (`SystemConfig::bank_jobs > 1`); results are bit-identical to
+    /// Every other banked machine: `EngineKind::Pipelined`, or
+    /// `bank_jobs > 1` under either engine. Batches flow through per-bank
+    /// ring buffers with bank-major drains, over a worker pool when
+    /// `bank_jobs > 1`; queued work flushes at epoch barriers
+    /// ([`Scheme::epoch_barrier`]). Results are bit-identical to
     /// [`Scheme::Banked`].
-    ParallelBanked {
-        /// The sharded cache and its worker pool.
-        llc: ParallelBankedLlc,
-        /// Whether UCP drives the wrapped scheme (false for baselines).
-        ucp: bool,
-    },
-    /// A banked machine fed through per-bank ring buffers with bank-major
-    /// drains (`SystemConfig::engine == EngineKind::Pipelined`); queued
-    /// work flushes at epoch barriers ([`Scheme::epoch_barrier`]). Results
-    /// are bit-identical to [`Scheme::Banked`].
     Pipelined {
         /// The ring-buffered sharded cache.
         llc: PipelinedBankedLlc,
@@ -190,18 +184,13 @@ impl Scheme {
                 .collect::<Result<Vec<_>, _>>()?;
             let banked = BankedLlc::try_new(banks, sys.seed ^ 0xBA2C)?;
             let ucp = !matches!(kind, SchemeKind::Baseline { .. });
-            return Ok(match sys.engine {
-                EngineKind::Pipelined => Scheme::Pipelined {
+            return Ok(if sys.engine == EngineKind::Batched && sys.bank_jobs <= 1 {
+                Scheme::Banked { llc: banked, ucp }
+            } else {
+                Scheme::Pipelined {
                     llc: PipelinedBankedLlc::from_banked(banked, sys.bank_jobs),
                     ucp,
-                },
-                EngineKind::Serial | EngineKind::Batched if sys.bank_jobs > 1 => {
-                    Scheme::ParallelBanked {
-                        llc: ParallelBankedLlc::from_banked(banked, sys.bank_jobs),
-                        ucp,
-                    }
                 }
-                EngineKind::Serial | EngineKind::Batched => Scheme::Banked { llc: banked, ucp },
             });
         }
         let seed = sys.seed ^ 0xCAC4E;
@@ -254,7 +243,6 @@ impl Scheme {
             Scheme::Pipp(l) => Box::new(l),
             Scheme::Vantage(l) => Box::new(l),
             Scheme::Banked { llc, .. } => Box::new(llc),
-            Scheme::ParallelBanked { llc, .. } => Box::new(llc),
             Scheme::Pipelined { llc, .. } => Box::new(llc),
         }
     }
@@ -267,7 +255,6 @@ impl Scheme {
             Scheme::Pipp(l) => l,
             Scheme::Vantage(l) => l,
             Scheme::Banked { llc, .. } => llc,
-            Scheme::ParallelBanked { llc, .. } => llc,
             Scheme::Pipelined { llc, .. } => llc,
         }
     }
@@ -280,7 +267,6 @@ impl Scheme {
             Scheme::Pipp(l) => l,
             Scheme::Vantage(l) => l,
             Scheme::Banked { llc, .. } => llc,
-            Scheme::ParallelBanked { llc, .. } => llc,
             Scheme::Pipelined { llc, .. } => llc,
         }
     }
@@ -326,9 +312,7 @@ impl Scheme {
     pub fn uses_ucp(&self) -> bool {
         match self {
             Scheme::Baseline(_) => false,
-            Scheme::Banked { ucp, .. }
-            | Scheme::ParallelBanked { ucp, .. }
-            | Scheme::Pipelined { ucp, .. } => *ucp,
+            Scheme::Banked { ucp, .. } | Scheme::Pipelined { ucp, .. } => *ucp,
             _ => true,
         }
     }
@@ -337,7 +321,6 @@ impl Scheme {
     pub fn as_sharded(&self) -> Option<&dyn Sharded> {
         match self {
             Scheme::Banked { llc, .. } => Some(llc),
-            Scheme::ParallelBanked { llc, .. } => Some(llc),
             Scheme::Pipelined { llc, .. } => Some(llc),
             _ => None,
         }
@@ -473,6 +456,14 @@ mod tests {
         }
     }
 
+    /// Every (bank_jobs, engine) pair the routing rule distinguishes.
+    const KNOBS: [(usize, EngineKind); 4] = [
+        (1, EngineKind::Batched),
+        (1, EngineKind::Pipelined),
+        (2, EngineKind::Batched),
+        (2, EngineKind::Pipelined),
+    ];
+
     #[test]
     fn banked_machines_build_every_bankable_scheme() {
         let mut sys = SystemConfig::small_scale();
@@ -487,9 +478,22 @@ mod tests {
             SchemeKind::vantage_paper(),
         ];
         for kind in &kinds {
-            for jobs in [1usize, 2] {
+            for (jobs, engine) in KNOBS {
                 sys.bank_jobs = jobs;
+                sys.engine = engine;
                 let mut s = Scheme::try_build(kind, &sys).expect("valid scheme config");
+                // The one routing rule: the batched engine on the calling
+                // thread is `Banked`; every other banked machine pipelines.
+                let want_banked = jobs <= 1 && engine == EngineKind::Batched;
+                assert_eq!(
+                    matches!(s, Scheme::Banked { .. }),
+                    want_banked,
+                    "{} jobs={jobs} engine={engine}",
+                    kind.label()
+                );
+                if let Scheme::Pipelined { llc, .. } = &s {
+                    assert_eq!(llc.bank_jobs(), jobs, "{}", kind.label());
+                }
                 let sharded = s.as_sharded().expect("banked scheme is sharded");
                 assert_eq!(sharded.num_banks(), 4, "{}", kind.label());
                 assert_eq!(s.llc().capacity(), sys.l2_lines);
@@ -509,10 +513,29 @@ mod tests {
                 assert!(s.llc_mut().stats_mut().total_hits() > 0, "{}", kind.label());
             }
         }
+
+        // Unbanked machines ignore both knobs: the bare scheme is built.
+        let mut flat = SystemConfig::small_scale();
+        for (jobs, engine) in KNOBS {
+            flat.bank_jobs = jobs;
+            flat.engine = engine;
+            let s = Scheme::try_build(&SchemeKind::vantage_paper(), &flat)
+                .expect("valid scheme config");
+            assert!(
+                matches!(s, Scheme::Vantage(_)),
+                "jobs={jobs} engine={engine}"
+            );
+            assert!(s.as_sharded().is_none());
+            let s = Scheme::try_build(&SchemeKind::WayPart, &flat).expect("valid scheme config");
+            assert!(
+                matches!(s, Scheme::WayPart(_)),
+                "jobs={jobs} engine={engine}"
+            );
+        }
     }
 
     #[test]
-    fn banked_and_parallel_banked_agree_exactly() {
+    fn bank_jobs_do_not_change_per_access_results() {
         let mut serial_sys = SystemConfig::small_scale();
         serial_sys.banks = 4;
         let mut par_sys = serial_sys.clone();
@@ -520,6 +543,7 @@ mod tests {
         let kind = SchemeKind::vantage_paper();
         let mut serial = Scheme::try_build(&kind, &serial_sys).expect("valid scheme config");
         let mut par = Scheme::try_build(&kind, &par_sys).expect("valid scheme config");
+        assert!(matches!(par, Scheme::Pipelined { .. }));
         for i in 0..20_000u64 {
             let req = AccessRequest::read(
                 PartitionId::from_index((i % 4) as usize),

@@ -4,10 +4,10 @@
 //! from one warmup checkpoint must agree; and guarded live reconfiguration
 //! must roll back cleanly when post-swap invariants fail.
 
-use vantage::{FaultKind, FaultPlan};
+use vantage::{EngineKind, FaultKind, FaultPlan};
 use vantage_sim::{
-    ActivePolicy, ArrayKind, BaselineRank, CmpSim, PolicyKind, Reconfig, ReconfigError, SchemeKind,
-    SimResult, SystemConfig,
+    ActivePolicy, ArrayKind, BaselineRank, CmpSim, PolicyKind, Reconfig, ReconfigError, Scheme,
+    SchemeKind, SimResult, SystemConfig,
 };
 use vantage_snapshot::{SnapshotError, SnapshotReader};
 use vantage_telemetry::{to_csv_row, RingSink, Telemetry};
@@ -90,7 +90,7 @@ fn resume_is_bit_identical_for_every_scheme_at_three_split_points() {
     let base = quick_sys();
     let mut banked = base.clone();
     banked.banks = 4;
-    banked.bank_jobs = 2; // ParallelBankedLlc with a live worker pool
+    banked.bank_jobs = 2; // PipelinedBankedLlc with a live worker pool
     let mix = &mixes(4, 1, 7)[12];
     let cases: Vec<(SchemeKind, SystemConfig)> = vec![
         (SchemeKind::vantage_paper(), base.clone()),
@@ -122,6 +122,51 @@ fn resume_is_bit_identical_for_every_scheme_at_three_split_points() {
             assert_eq!(resumed.steps(), split, "checkpoint clock restored");
             let got = resumed.run();
             assert_results_identical(&want, &got, &format!("{} @ {split}", got.label));
+        }
+    }
+}
+
+/// A banked checkpoint is engine-independent: one cut on the calling-thread
+/// `Scheme::Banked` machine resumes under a worker pool and under the
+/// pipelined engine, checkpoints cut on those resume on `Banked`, and every
+/// continuation finishes bit-identical to the straight run.
+#[test]
+fn checkpoints_interchange_across_banked_engines() {
+    let machine = |bank_jobs: usize, engine: EngineKind| {
+        let mut s = quick_sys();
+        s.banks = 4;
+        s.bank_jobs = bank_jobs;
+        s.engine = engine;
+        s
+    };
+    let banked = machine(1, EngineKind::Batched);
+    let others = [
+        ("bank_jobs 2", machine(2, EngineKind::Batched)),
+        ("pipelined", machine(1, EngineKind::Pipelined)),
+    ];
+    let kind = SchemeKind::vantage_paper();
+    let mix = &mixes(4, 1, 7)[12];
+    let build = |sys: &SystemConfig| {
+        let mut s = CmpSim::new(sys.clone(), &kind, mix);
+        s.enable_trace(25_000);
+        s
+    };
+
+    let mut straight = build(&banked);
+    assert!(matches!(straight.scheme(), Scheme::Banked { .. }));
+    let want = straight.run();
+    let split = straight.steps() / 2;
+
+    for (name, other) in &others {
+        assert!(matches!(build(other).scheme(), Scheme::Pipelined { .. }));
+        for (from, to, what) in [
+            (&banked, other, format!("banked -> {name}")),
+            (other, &banked, format!("{name} -> banked")),
+        ] {
+            let mut warm = build(from);
+            assert!(warm.run_for(split).is_none(), "{what}: paused");
+            let got = fork(&warm, build(to)).run();
+            assert_results_identical(&want, &got, &what);
         }
     }
 }

@@ -145,7 +145,6 @@ fn engines_agree_on_leak_digest_per_mode() {
     for &mode in &ShareMode::ALL {
         let mut results: Vec<(String, u64, f64)> = Vec::new();
         for (label, engine, jobs) in [
-            ("serial", EngineKind::Serial, 1),
             ("batched", EngineKind::Batched, 1),
             ("parallel", EngineKind::Batched, 2),
             ("pipelined", EngineKind::Pipelined, 2),

@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use vantage_repro::cache::{LineAddr, ZArray};
 use vantage_repro::core::{VantageConfig, VantageLlc};
 use vantage_repro::partitioning::{
-    AccessOutcome, AccessRequest, BankedLlc, Llc, ParallelBankedLlc, PartitionId, PartitionSpec,
+    AccessOutcome, AccessRequest, BankedLlc, Llc, PartitionId, PartitionSpec, PipelinedBankedLlc,
 };
 use vantage_repro::snapshot::{Decoder, Encoder, Snapshot};
 use vantage_repro::ucp::{AllocationPolicy, PolicyInput, QosGuarantee};
@@ -149,7 +149,7 @@ fn churn_is_deterministic_across_serial_and_parallel_engines() {
     assert!(reference.outcomes.iter().any(|o| o.is_hit()));
     assert!(reference.outcomes.iter().any(|o| !o.is_hit()));
     for jobs in [1, 2, 4] {
-        let mut par = ParallelBankedLlc::from_banked(build_banked(7, 4), jobs);
+        let mut par = PipelinedBankedLlc::from_banked(build_banked(7, 4), jobs);
         let got = drive(&mut par, &mut churn_gen(0xC0DE), 60_000, 997);
         assert_eq!(
             got.slots, reference.slots,
