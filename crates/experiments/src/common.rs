@@ -19,7 +19,7 @@ use std::sync::Mutex;
 
 use vantage_cache::ShareMode;
 use vantage_sim::{CmpSim, PolicyKind, SchemeKind, SimResult, SystemConfig};
-use vantage_telemetry::{CsvSink, JsonSink, Telemetry, TelemetrySink};
+use vantage_telemetry::{Telemetry, TraceSink};
 use vantage_workloads::Mix;
 
 /// A malformed command line: carries the message shown above the usage
@@ -338,9 +338,10 @@ pub fn telemetry_trace_path(base: &Path, tag: &str) -> PathBuf {
 }
 
 /// Opens a telemetry producer writing to the tagged sibling of `base`
-/// (see [`telemetry_trace_path`]); the extension picks the sink format
-/// (`.csv` = CSV, anything else = JSON Lines). An unopenable path is
-/// recorded in the failure registry and yields `None` (keep-going).
+/// (see [`telemetry_trace_path`]); [`TraceSink::create`] picks the format
+/// from the extension (`.csv` = CSV, anything else = JSON Lines). An
+/// unopenable path is recorded in the failure registry and yields `None`
+/// (keep-going).
 pub fn open_telemetry(base: &Path, tag: &str) -> Option<Telemetry> {
     let path = telemetry_trace_path(base, &slugify(tag));
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
@@ -349,28 +350,16 @@ pub fn open_telemetry(base: &Path, tag: &str) -> Option<Telemetry> {
             return None;
         }
     }
-    let csv = path
-        .extension()
-        .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
-    let sink: Box<dyn TelemetrySink> = if csv {
-        match CsvSink::create(&path) {
-            Ok(s) => Box::new(s),
-            Err(e) => {
-                record_failure(path.display().to_string(), e.to_string());
-                return None;
-            }
+    match TraceSink::create(&path) {
+        Ok(sink) => {
+            println!("  telemetry -> {}", path.display());
+            Some(Telemetry::new(Box::new(sink), 0))
         }
-    } else {
-        match JsonSink::create(&path) {
-            Ok(s) => Box::new(s),
-            Err(e) => {
-                record_failure(path.display().to_string(), e.to_string());
-                return None;
-            }
+        Err(e) => {
+            record_failure(path.display().to_string(), e.to_string());
+            None
         }
-    };
-    println!("  telemetry -> {}", path.display());
-    Some(Telemetry::new(sink, 0))
+    }
 }
 
 /// Installs a per-cache telemetry trace on `sim` when a base path is set.

@@ -15,7 +15,7 @@
 //! * [`TelemetrySink`] — where records go: [`NullSink`] (drops everything;
 //!   the zero-cost stand-in for "instrumentation wired but off"),
 //!   [`RingSink`] (bounded in-memory ring with a shared [`RingReader`]),
-//!   [`CsvSink`] and [`JsonSink`] (line-oriented file/stream backends).
+//!   [`TraceSink`] (line-oriented trace files).
 //! * [`Telemetry`] — the producer-side handle a cache embeds: it owns the
 //!   sink, decides when samples are due, and meters per-partition churn so
 //!   producers only report raw events.
@@ -26,10 +26,18 @@
 //! predictable null-check per instrumentation site and allocates nothing.
 //! With a [`NullSink`] installed the cost adds one virtual call to an empty
 //! body per *event* (events fire on misses, not per candidate), which the
-//! `perf` harness pins to within 2% of the uninstrumented throughput. No
+//! `perf` harness pins to within 5% of the uninstrumented throughput. No
 //! sink may allocate per record on the producer's path; [`RingSink`] uses a
-//! preallocated ring and [`CsvSink`]/[`JsonSink`] buffer through
-//! [`std::io::BufWriter`].
+//! preallocated ring and [`TraceSink`] renders into a reused line buffer
+//! and writes through [`std::io::BufWriter`].
+//!
+//! # Trace formats
+//!
+//! Each record kind is described once, as a kind name and named fields in
+//! output order, and both renderers walk that description. JSON Lines
+//! ([`to_json_line`]) parses back via [`from_json_line`]; CSV
+//! ([`to_csv_row`] under [`CSV_HEADER`]) is a write-only export.
+//! [`TraceSink::create`] picks the format from the path's extension.
 //!
 //! # Example
 //!
@@ -47,11 +55,12 @@
 //! }
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 pub use vantage_cache::PartitionId;
@@ -293,8 +302,9 @@ pub trait TelemetrySink: Send {
     ///
     /// Default is a no-op: in-memory sinks keep records untagged so traces
     /// from a sharded run compare record-for-record with a serial run.
-    /// File sinks append the tag as an extra field their parsers tolerate
-    /// ([`CsvSink`] in the `detail` column, [`JsonSink`] as a `"bank"` key).
+    /// [`TraceSink`] appends the tag as one more field (`bank=N` in the CSV
+    /// `detail` column, a `"bank"` key in JSON), which [`from_json_line`]
+    /// ignores.
     fn set_bank(&mut self, _bank: Option<u16>) {}
 }
 
@@ -496,180 +506,170 @@ impl RingReader {
     }
 }
 
-/// The CSV header written by [`CsvSink`] (one fixed schema covering events
-/// and samples; unused columns are empty).
+/// The CSV header a CSV [`TraceSink`] writes before its first row (one
+/// fixed schema covering events and samples; unused columns are empty).
 pub const CSV_HEADER: &str = "record,access,part,actual,target,aperture,window,churn,detail";
 
-fn part_str(part: PartitionId) -> String {
-    // `PartitionId`'s Display spells the sentinel "unmanaged" already.
-    part.to_string()
+/// The fixed CSV columns between `record` and `detail`.
+const CSV_COLUMNS: usize = 7;
+
+/// The two trace formats.
+#[derive(Clone, Copy, PartialEq)]
+enum Format {
+    Csv,
+    JsonLines,
 }
 
-fn parse_part(s: &str) -> Option<PartitionId> {
-    if s == "unmanaged" {
-        Some(UNMANAGED_PART)
-    } else {
-        s.parse::<u16>().ok().map(PartitionId::from_raw)
+/// One field value. The renderers differ only in how they spell a
+/// partition: CSV by its `Display` form (`unmanaged` for the sentinel),
+/// JSON by its raw id.
+#[derive(Clone, Copy)]
+enum Value {
+    Uint(u64),
+    Int(i8),
+    Real(f32),
+    Bool(bool),
+    Part(PartitionId),
+}
+
+impl Value {
+    fn write(self, out: &mut String, format: Format) {
+        let _ = match self {
+            Value::Uint(v) => write!(out, "{v}"),
+            Value::Int(v) => write!(out, "{v}"),
+            Value::Real(v) => write!(out, "{v:.6}"),
+            Value::Bool(v) => write!(out, "{v}"),
+            Value::Part(p) if format == Format::Csv => write!(out, "{p}"),
+            Value::Part(p) => write!(out, "{}", p.raw()),
+        };
     }
 }
 
-/// Renders one record as a CSV row under [`CSV_HEADER`] (no newline).
-pub fn to_csv_row(rec: &TelemetryRecord) -> String {
-    let mut s = String::with_capacity(64);
-    match rec {
-        TelemetryRecord::Sample(p) => {
-            let _ = write!(
-                s,
-                "sample,{},{},{},{},{:.6},{},{},",
-                p.access,
-                part_str(p.part),
-                p.actual,
-                p.target,
-                p.aperture,
-                p.window,
-                p.churn
-            );
-            // Sharing counters ride in the structured detail column, and
-            // only when nonzero: zero-sharing traces stay byte-identical
-            // to pre-ownership-layer output (golden-digest contract).
-            if p.shared != 0 || p.transfers != 0 {
-                let _ = write!(s, "shared={};transfers={}", p.shared, p.transfers);
+/// A record laid out for rendering: its kind name and named fields in
+/// output order, `access` first. The first `columns` fields fill the CSV
+/// columns after `record`; the rest go `k=v;`-joined into `detail`. JSON
+/// writes them all, in the same order, as one flat object.
+struct Fields {
+    kind: &'static str,
+    columns: usize,
+    len: usize,
+    /// Room for the widest record: a sharing sample's nine fields plus a
+    /// [`TraceSink`] bank tag.
+    list: [(&'static str, Value); 10],
+}
+
+impl Fields {
+    fn new(kind: &'static str, access: u64) -> Self {
+        let f = Self {
+            kind,
+            columns: 0,
+            len: 0,
+            list: [("", Value::Uint(0)); 10],
+        };
+        f.column("access", Value::Uint(access))
+    }
+
+    fn column(mut self, name: &'static str, v: Value) -> Self {
+        debug_assert_eq!(self.columns, self.len, "columns precede details");
+        self.columns += 1;
+        self.detail(name, v)
+    }
+
+    fn detail(mut self, name: &'static str, v: Value) -> Self {
+        self.list[self.len] = (name, v);
+        self.len += 1;
+        self
+    }
+
+    /// Appends the record to `out` in `format` (no newline).
+    fn render(&self, format: Format, out: &mut String) {
+        let fields = &self.list[..self.len];
+        if format == Format::JsonLines {
+            out.extend(["{\"record\":\"", self.kind, "\""]);
+            for &(name, v) in fields {
+                out.extend([",\"", name, "\":"]);
+                v.write(out, format);
+            }
+            out.push('}');
+            return;
+        }
+        out.push_str(self.kind);
+        let (columns, detail) = fields.split_at(self.columns);
+        for i in 0..CSV_COLUMNS {
+            out.push(',');
+            if let Some(&(_, v)) = columns.get(i) {
+                v.write(out, format);
             }
         }
-        TelemetryRecord::Event(ev) => {
-            let (kind, part, detail): (&str, Option<PartitionId>, String) = match *ev {
-                TelemetryEvent::Demotion { part, .. } => ("demotion", Some(part), String::new()),
-                TelemetryEvent::Promotion { part, .. } => ("promotion", Some(part), String::new()),
-                TelemetryEvent::Eviction { part, forced, .. } => {
-                    ("eviction", Some(part), format!("forced={forced}"))
-                }
-                TelemetryEvent::SetpointAdjust {
-                    part,
-                    direction,
-                    window,
-                    ..
-                } => (
-                    "setpoint",
-                    Some(part),
-                    format!("direction={direction};window={window}"),
-                ),
-                TelemetryEvent::ApertureUpdate { part, aperture, .. } => {
-                    ("aperture", Some(part), format!("aperture={aperture:.6}"))
-                }
-                TelemetryEvent::Scrub { repairs, .. } => {
-                    ("scrub", None, format!("repairs={repairs}"))
-                }
-                TelemetryEvent::PartitionCreated { part, target, .. } => {
-                    ("created", Some(part), format!("target={target}"))
-                }
-                TelemetryEvent::PartitionDestroyed { part, .. } => {
-                    ("destroyed", Some(part), String::new())
-                }
-                TelemetryEvent::SharedHit { part, owner, .. } => (
-                    "shared_hit",
-                    Some(part),
-                    format!("owner={}", part_str(owner)),
-                ),
-                TelemetryEvent::OwnershipTransfer { part, from, .. } => {
-                    ("transfer", Some(part), format!("from={}", part_str(from)))
-                }
-                TelemetryEvent::Replica { part, .. } => ("replica", Some(part), String::new()),
-            };
-            let _ = write!(
-                s,
-                "{kind},{},{},,,,,,{detail}",
-                ev.access(),
-                part.map(part_str).unwrap_or_default()
-            );
+        out.push(',');
+        for (i, &(name, v)) in detail.iter().enumerate() {
+            out.extend([if i > 0 { ";" } else { "" }, name, "="]);
+            v.write(out, format);
         }
     }
-    s
 }
 
-/// Parses one CSV row produced by [`to_csv_row`]; `None` for the header or
-/// malformed rows.
-pub fn from_csv_row(row: &str) -> Option<TelemetryRecord> {
-    let cols: Vec<&str> = row.trim_end().split(',').collect();
-    if cols.len() != 9 {
-        return None;
+/// The schema walk: each record kind spelled once, for both renderers.
+fn fields(rec: &TelemetryRecord) -> Fields {
+    use Value::{Bool, Int, Part, Real, Uint};
+    let ev = match *rec {
+        TelemetryRecord::Sample(s) => {
+            let f = Fields::new("sample", s.access)
+                .column("part", Part(s.part))
+                .column("actual", Uint(s.actual))
+                .column("target", Uint(s.target))
+                .column("aperture", Real(s.aperture))
+                .column("window", Uint(s.window.into()))
+                .column("churn", Uint(s.churn));
+            // Sharing counters only when nonzero, so zero-sharing traces stay
+            // byte-identical to pre-ownership-layer ones (golden digests).
+            return if s.shared != 0 || s.transfers != 0 {
+                f.detail("shared", Uint(s.shared))
+                    .detail("transfers", Uint(s.transfers))
+            } else {
+                f
+            };
+        }
+        TelemetryRecord::Event(ev) => ev,
+    };
+    let event = |kind| {
+        let f = Fields::new(kind, ev.access());
+        match ev.part() {
+            Some(p) => f.column("part", Part(p)),
+            None => f,
+        }
+    };
+    match ev {
+        TelemetryEvent::Demotion { .. } => event("demotion"),
+        TelemetryEvent::Promotion { .. } => event("promotion"),
+        TelemetryEvent::Eviction { forced, .. } => event("eviction").detail("forced", Bool(forced)),
+        TelemetryEvent::SetpointAdjust {
+            direction, window, ..
+        } => event("setpoint")
+            .detail("direction", Int(direction))
+            .detail("window", Uint(window.into())),
+        TelemetryEvent::ApertureUpdate { aperture, .. } => {
+            event("aperture").detail("aperture", Real(aperture))
+        }
+        TelemetryEvent::Scrub { repairs, .. } => event("scrub").detail("repairs", Uint(repairs)),
+        TelemetryEvent::PartitionCreated { target, .. } => {
+            event("created").detail("target", Uint(target))
+        }
+        TelemetryEvent::PartitionDestroyed { .. } => event("destroyed"),
+        TelemetryEvent::SharedHit { owner, .. } => event("shared_hit").detail("owner", Part(owner)),
+        TelemetryEvent::OwnershipTransfer { from, .. } => {
+            event("transfer").detail("from", Part(from))
+        }
+        TelemetryEvent::Replica { .. } => event("replica"),
     }
-    let access: u64 = cols[1].parse().ok()?;
-    let detail: std::collections::HashMap<&str, &str> = cols[8]
-        .split(';')
-        .filter_map(|kv| kv.split_once('='))
-        .collect();
-    match cols[0] {
-        "sample" => Some(TelemetryRecord::Sample(PartitionSample {
-            access,
-            part: parse_part(cols[2])?,
-            actual: cols[3].parse().ok()?,
-            target: cols[4].parse().ok()?,
-            aperture: cols[5].parse().ok()?,
-            window: cols[6].parse().ok()?,
-            churn: cols[7].parse().ok()?,
-            // Absent in zero-sharing rows and in pre-ownership traces.
-            shared: detail
-                .get("shared")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            transfers: detail
-                .get("transfers")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-        })),
-        "demotion" => Some(TelemetryRecord::Event(TelemetryEvent::Demotion {
-            access,
-            part: parse_part(cols[2])?,
-        })),
-        "promotion" => Some(TelemetryRecord::Event(TelemetryEvent::Promotion {
-            access,
-            part: parse_part(cols[2])?,
-        })),
-        "eviction" => Some(TelemetryRecord::Event(TelemetryEvent::Eviction {
-            access,
-            part: parse_part(cols[2])?,
-            forced: detail.get("forced")?.parse().ok()?,
-        })),
-        "setpoint" => Some(TelemetryRecord::Event(TelemetryEvent::SetpointAdjust {
-            access,
-            part: parse_part(cols[2])?,
-            direction: detail.get("direction")?.parse().ok()?,
-            window: detail.get("window")?.parse().ok()?,
-        })),
-        "aperture" => Some(TelemetryRecord::Event(TelemetryEvent::ApertureUpdate {
-            access,
-            part: parse_part(cols[2])?,
-            aperture: detail.get("aperture")?.parse().ok()?,
-        })),
-        "scrub" => Some(TelemetryRecord::Event(TelemetryEvent::Scrub {
-            access,
-            repairs: detail.get("repairs")?.parse().ok()?,
-        })),
-        "created" => Some(TelemetryRecord::Event(TelemetryEvent::PartitionCreated {
-            access,
-            part: parse_part(cols[2])?,
-            target: detail.get("target")?.parse().ok()?,
-        })),
-        "destroyed" => Some(TelemetryRecord::Event(TelemetryEvent::PartitionDestroyed {
-            access,
-            part: parse_part(cols[2])?,
-        })),
-        "shared_hit" => Some(TelemetryRecord::Event(TelemetryEvent::SharedHit {
-            access,
-            part: parse_part(cols[2])?,
-            owner: parse_part(detail.get("owner")?)?,
-        })),
-        "transfer" => Some(TelemetryRecord::Event(TelemetryEvent::OwnershipTransfer {
-            access,
-            part: parse_part(cols[2])?,
-            from: parse_part(detail.get("from")?)?,
-        })),
-        "replica" => Some(TelemetryRecord::Event(TelemetryEvent::Replica {
-            access,
-            part: parse_part(cols[2])?,
-        })),
-        _ => None,
-    }
+}
+
+/// Renders one record as a CSV row under [`CSV_HEADER`] (no newline). CSV
+/// is a write-only export; JSON Lines is the format that parses back.
+pub fn to_csv_row(rec: &TelemetryRecord) -> String {
+    let mut s = String::with_capacity(64);
+    fields(rec).render(Format::Csv, &mut s);
+    s
 }
 
 /// Renders one record as a JSON object on a single line (JSON Lines; the
@@ -677,258 +677,137 @@ pub fn from_csv_row(row: &str) -> Option<TelemetryRecord> {
 /// key-value with string and number values only).
 pub fn to_json_line(rec: &TelemetryRecord) -> String {
     let mut s = String::with_capacity(96);
-    match rec {
-        TelemetryRecord::Sample(p) => {
-            let _ = write!(
-                s,
-                "{{\"record\":\"sample\",\"access\":{},\"part\":{},\"actual\":{},\"target\":{},\"aperture\":{:.6},\"window\":{},\"churn\":{}",
-                p.access,
-                p.part.raw(),
-                p.actual,
-                p.target,
-                p.aperture,
-                p.window,
-                p.churn
-            );
-            // Same rule as the CSV renderer: sharing keys only when
-            // nonzero, so zero-sharing traces are byte-identical to
-            // pre-ownership-layer output.
-            if p.shared != 0 || p.transfers != 0 {
-                let _ = write!(s, ",\"shared\":{},\"transfers\":{}", p.shared, p.transfers);
-            }
-            s.push('}');
-        }
-        TelemetryRecord::Event(ev) => match *ev {
-            TelemetryEvent::Demotion { access, part } => {
-                let part = part.raw();
-                let _ = write!(
-                    s,
-                    "{{\"record\":\"demotion\",\"access\":{access},\"part\":{part}}}"
-                );
-            }
-            TelemetryEvent::Promotion { access, part } => {
-                let part = part.raw();
-                let _ = write!(
-                    s,
-                    "{{\"record\":\"promotion\",\"access\":{access},\"part\":{part}}}"
-                );
-            }
-            TelemetryEvent::Eviction {
-                access,
-                part,
-                forced,
-            } => {
-                let part = part.raw();
-                let _ = write!(
-                    s,
-                    "{{\"record\":\"eviction\",\"access\":{access},\"part\":{part},\"forced\":{forced}}}"
-                );
-            }
-            TelemetryEvent::SetpointAdjust {
-                access,
-                part,
-                direction,
-                window,
-            } => {
-                let part = part.raw();
-                let _ = write!(
-                    s,
-                    "{{\"record\":\"setpoint\",\"access\":{access},\"part\":{part},\"direction\":{direction},\"window\":{window}}}"
-                );
-            }
-            TelemetryEvent::ApertureUpdate {
-                access,
-                part,
-                aperture,
-            } => {
-                let part = part.raw();
-                let _ = write!(
-                    s,
-                    "{{\"record\":\"aperture\",\"access\":{access},\"part\":{part},\"aperture\":{aperture:.6}}}"
-                );
-            }
-            TelemetryEvent::Scrub { access, repairs } => {
-                let _ = write!(
-                    s,
-                    "{{\"record\":\"scrub\",\"access\":{access},\"repairs\":{repairs}}}"
-                );
-            }
-            TelemetryEvent::PartitionCreated {
-                access,
-                part,
-                target,
-            } => {
-                let part = part.raw();
-                let _ = write!(
-                    s,
-                    "{{\"record\":\"created\",\"access\":{access},\"part\":{part},\"target\":{target}}}"
-                );
-            }
-            TelemetryEvent::PartitionDestroyed { access, part } => {
-                let part = part.raw();
-                let _ = write!(
-                    s,
-                    "{{\"record\":\"destroyed\",\"access\":{access},\"part\":{part}}}"
-                );
-            }
-            TelemetryEvent::SharedHit {
-                access,
-                part,
-                owner,
-            } => {
-                let (part, owner) = (part.raw(), owner.raw());
-                let _ = write!(
-                    s,
-                    "{{\"record\":\"shared_hit\",\"access\":{access},\"part\":{part},\"owner\":{owner}}}"
-                );
-            }
-            TelemetryEvent::OwnershipTransfer { access, part, from } => {
-                let (part, from) = (part.raw(), from.raw());
-                let _ = write!(
-                    s,
-                    "{{\"record\":\"transfer\",\"access\":{access},\"part\":{part},\"from\":{from}}}"
-                );
-            }
-            TelemetryEvent::Replica { access, part } => {
-                let part = part.raw();
-                let _ = write!(
-                    s,
-                    "{{\"record\":\"replica\",\"access\":{access},\"part\":{part}}}"
-                );
-            }
-        },
-    }
+    fields(rec).render(Format::JsonLines, &mut s);
     s
 }
 
 /// Parses one flat JSON object (as produced by [`to_json_line`]) back into
-/// a record; `None` on malformed input.
+/// a record; `None` on malformed input. Keys the record kind does not use,
+/// such as a [`TraceSink`]'s `bank` tag, are ignored. Apertures come back
+/// at the six decimals they were written with.
 pub fn from_json_line(line: &str) -> Option<TelemetryRecord> {
+    fn get<T: FromStr>(map: &HashMap<&str, &str>, key: &str) -> Option<T> {
+        map.get(key)?.parse().ok()
+    }
     let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut fields = std::collections::HashMap::new();
+    let mut map = HashMap::new();
     for kv in body.split(',') {
         let (k, v) = kv.split_once(':')?;
         let k = k.trim().strip_prefix('"')?.strip_suffix('"')?;
-        let v = v.trim().trim_matches('"');
-        fields.insert(k, v);
+        map.insert(k, v.trim().trim_matches('"'));
     }
-    let access: u64 = fields.get("access")?.parse().ok()?;
-    let part = |fields: &std::collections::HashMap<&str, &str>| -> Option<PartitionId> {
-        fields
-            .get("part")?
-            .parse::<u16>()
-            .ok()
-            .map(PartitionId::from_raw)
+    let access = get(&map, "access")?;
+    let part = |key| get(&map, key).map(PartitionId::from_raw);
+    let ev = match *map.get("record")? {
+        "sample" => {
+            return Some(TelemetryRecord::Sample(PartitionSample {
+                access,
+                part: part("part")?,
+                actual: get(&map, "actual")?,
+                target: get(&map, "target")?,
+                aperture: get(&map, "aperture")?,
+                window: get(&map, "window")?,
+                churn: get(&map, "churn")?,
+                // Absent keys mean a zero-sharing sample.
+                shared: get(&map, "shared").unwrap_or(0),
+                transfers: get(&map, "transfers").unwrap_or(0),
+            }));
+        }
+        "demotion" => TelemetryEvent::Demotion {
+            access,
+            part: part("part")?,
+        },
+        "promotion" => TelemetryEvent::Promotion {
+            access,
+            part: part("part")?,
+        },
+        "eviction" => TelemetryEvent::Eviction {
+            access,
+            part: part("part")?,
+            forced: get(&map, "forced")?,
+        },
+        "setpoint" => TelemetryEvent::SetpointAdjust {
+            access,
+            part: part("part")?,
+            direction: get(&map, "direction")?,
+            window: get(&map, "window")?,
+        },
+        "aperture" => TelemetryEvent::ApertureUpdate {
+            access,
+            part: part("part")?,
+            aperture: get(&map, "aperture")?,
+        },
+        "scrub" => TelemetryEvent::Scrub {
+            access,
+            repairs: get(&map, "repairs")?,
+        },
+        "created" => TelemetryEvent::PartitionCreated {
+            access,
+            part: part("part")?,
+            target: get(&map, "target")?,
+        },
+        "destroyed" => TelemetryEvent::PartitionDestroyed {
+            access,
+            part: part("part")?,
+        },
+        "shared_hit" => TelemetryEvent::SharedHit {
+            access,
+            part: part("part")?,
+            owner: part("owner")?,
+        },
+        "transfer" => TelemetryEvent::OwnershipTransfer {
+            access,
+            part: part("part")?,
+            from: part("from")?,
+        },
+        "replica" => TelemetryEvent::Replica {
+            access,
+            part: part("part")?,
+        },
+        _ => return None,
     };
-    match *fields.get("record")? {
-        "sample" => Some(TelemetryRecord::Sample(PartitionSample {
-            access,
-            part: part(&fields)?,
-            actual: fields.get("actual")?.parse().ok()?,
-            target: fields.get("target")?.parse().ok()?,
-            aperture: fields.get("aperture")?.parse().ok()?,
-            window: fields.get("window")?.parse().ok()?,
-            churn: fields.get("churn")?.parse().ok()?,
-            // Absent keys mean a zero-sharing sample (or an old trace).
-            shared: fields
-                .get("shared")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            transfers: fields
-                .get("transfers")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-        })),
-        "demotion" => Some(TelemetryRecord::Event(TelemetryEvent::Demotion {
-            access,
-            part: part(&fields)?,
-        })),
-        "promotion" => Some(TelemetryRecord::Event(TelemetryEvent::Promotion {
-            access,
-            part: part(&fields)?,
-        })),
-        "eviction" => Some(TelemetryRecord::Event(TelemetryEvent::Eviction {
-            access,
-            part: part(&fields)?,
-            forced: fields.get("forced")?.parse().ok()?,
-        })),
-        "setpoint" => Some(TelemetryRecord::Event(TelemetryEvent::SetpointAdjust {
-            access,
-            part: part(&fields)?,
-            direction: fields.get("direction")?.parse().ok()?,
-            window: fields.get("window")?.parse().ok()?,
-        })),
-        "aperture" => Some(TelemetryRecord::Event(TelemetryEvent::ApertureUpdate {
-            access,
-            part: part(&fields)?,
-            aperture: fields.get("aperture")?.parse().ok()?,
-        })),
-        "scrub" => Some(TelemetryRecord::Event(TelemetryEvent::Scrub {
-            access,
-            repairs: fields.get("repairs")?.parse().ok()?,
-        })),
-        "created" => Some(TelemetryRecord::Event(TelemetryEvent::PartitionCreated {
-            access,
-            part: part(&fields)?,
-            target: fields.get("target")?.parse().ok()?,
-        })),
-        "destroyed" => Some(TelemetryRecord::Event(TelemetryEvent::PartitionDestroyed {
-            access,
-            part: part(&fields)?,
-        })),
-        "shared_hit" => Some(TelemetryRecord::Event(TelemetryEvent::SharedHit {
-            access,
-            part: part(&fields)?,
-            owner: fields
-                .get("owner")?
-                .parse::<u16>()
-                .ok()
-                .map(PartitionId::from_raw)?,
-        })),
-        "transfer" => Some(TelemetryRecord::Event(TelemetryEvent::OwnershipTransfer {
-            access,
-            part: part(&fields)?,
-            from: fields
-                .get("from")?
-                .parse::<u16>()
-                .ok()
-                .map(PartitionId::from_raw)?,
-        })),
-        "replica" => Some(TelemetryRecord::Event(TelemetryEvent::Replica {
-            access,
-            part: part(&fields)?,
-        })),
-        _ => None,
-    }
+    Some(TelemetryRecord::Event(ev))
 }
 
-/// A line-oriented CSV sink over any writer. The first row is
+/// A line-oriented trace file sink, one record per line. The path picks the
+/// format (see [`TraceSink::create`]); a CSV trace starts with
 /// [`CSV_HEADER`].
-pub struct CsvSink<W: Write + Send> {
+pub struct TraceSink<W: Write + Send> {
     w: W,
-    wrote_header: bool,
+    format: Format,
+    /// Written before the first record, then cleared.
+    header: Option<&'static str>,
     bank: Option<u16>,
+    /// Render buffer reused across records.
+    line: String,
     err: Option<std::io::Error>,
 }
 
-impl CsvSink<BufWriter<File>> {
-    /// Creates (truncating) a CSV trace file at `path`.
+impl TraceSink<BufWriter<File>> {
+    /// Creates (truncating) a trace file at `path`: CSV when the extension
+    /// is `.csv` in any letter case, JSON Lines otherwise (no extension
+    /// included).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn create(path: &Path) -> std::io::Result<Self> {
-        Ok(Self::new(BufWriter::new(File::create(path)?)))
+        let format = match path.extension() {
+            Some(e) if e.eq_ignore_ascii_case("csv") => Format::Csv,
+            _ => Format::JsonLines,
+        };
+        Ok(Self::new(BufWriter::new(File::create(path)?), format))
     }
 }
 
-impl<W: Write + Send> CsvSink<W> {
-    /// Wraps a writer.
-    pub fn new(w: W) -> Self {
+impl<W: Write + Send> TraceSink<W> {
+    fn new(w: W, format: Format) -> Self {
         Self {
             w,
-            wrote_header: false,
+            format,
+            header: (format == Format::Csv).then_some(CSV_HEADER),
             bank: None,
+            line: String::with_capacity(128),
             err: None,
         }
     }
@@ -940,35 +819,32 @@ impl<W: Write + Send> CsvSink<W> {
         }
     }
 
-    fn write_row(&mut self, rec: &TelemetryRecord) {
+    fn write_record(&mut self, rec: &TelemetryRecord) {
         // Telemetry is observability, not ground truth: I/O errors drop the
         // record rather than unwinding into the cache's miss path — but the
         // first one is kept so `io_error` can report the trace incomplete.
-        if !self.wrote_header {
-            self.wrote_header = true;
-            let r = writeln!(self.w, "{CSV_HEADER}");
+        if let Some(header) = self.header.take() {
+            let r = writeln!(self.w, "{header}");
             self.note(r);
         }
-        let mut row = to_csv_row(rec);
+        let mut f = fields(rec);
         if let Some(b) = self.bank {
-            // The detail column is last and `k=v;k=v`-structured; an extra
-            // key round-trips through `from_csv_row` untouched.
-            if !row.ends_with(',') {
-                row.push(';');
-            }
-            let _ = write!(row, "bank={b}");
+            f = f.detail("bank", Value::Uint(b.into()));
         }
-        let r = writeln!(self.w, "{row}");
+        self.line.clear();
+        f.render(self.format, &mut self.line);
+        self.line.push('\n');
+        let r = self.w.write_all(self.line.as_bytes());
         self.note(r);
     }
 }
 
-impl<W: Write + Send> TelemetrySink for CsvSink<W> {
+impl<W: Write + Send> TelemetrySink for TraceSink<W> {
     fn record_event(&mut self, ev: &TelemetryEvent) {
-        self.write_row(&TelemetryRecord::Event(*ev));
+        self.write_record(&TelemetryRecord::Event(*ev));
     }
     fn record_sample(&mut self, s: &PartitionSample) {
-        self.write_row(&TelemetryRecord::Sample(*s));
+        self.write_record(&TelemetryRecord::Sample(*s));
     }
     fn flush(&mut self) {
         let r = self.w.flush();
@@ -982,92 +858,13 @@ impl<W: Write + Send> TelemetrySink for CsvSink<W> {
     }
 }
 
-impl<W: Write + Send> Drop for CsvSink<W> {
+impl<W: Write + Send> Drop for TraceSink<W> {
     fn drop(&mut self) {
         // `BufWriter`'s own drop flushes but swallows the error; flush
         // explicitly and say so when the trace lost data.
-        let r = self.w.flush();
-        self.note(r);
+        TelemetrySink::flush(self);
         if let Some(e) = &self.err {
-            eprintln!("telemetry: CSV trace lost data: {e}");
-        }
-    }
-}
-
-/// A JSON Lines sink over any writer: one flat object per record.
-pub struct JsonSink<W: Write + Send> {
-    w: W,
-    bank: Option<u16>,
-    err: Option<std::io::Error>,
-}
-
-impl JsonSink<BufWriter<File>> {
-    /// Creates (truncating) a JSON Lines trace file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn create(path: &Path) -> std::io::Result<Self> {
-        Ok(Self::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-impl<W: Write + Send> JsonSink<W> {
-    /// Wraps a writer.
-    pub fn new(w: W) -> Self {
-        Self {
-            w,
-            bank: None,
-            err: None,
-        }
-    }
-
-    /// Remembers the first I/O failure (later ones are usually cascades).
-    fn note(&mut self, r: std::io::Result<()>) {
-        if let (Err(e), None) = (r, &self.err) {
-            self.err = Some(e);
-        }
-    }
-
-    fn write_line(&mut self, rec: &TelemetryRecord) {
-        let mut line = to_json_line(rec);
-        if let Some(b) = self.bank {
-            // Extra keys pass through `from_json_line` untouched.
-            line.pop();
-            let _ = write!(line, ",\"bank\":{b}}}");
-        }
-        let r = writeln!(self.w, "{line}");
-        self.note(r);
-    }
-}
-
-impl<W: Write + Send> TelemetrySink for JsonSink<W> {
-    fn record_event(&mut self, ev: &TelemetryEvent) {
-        self.write_line(&TelemetryRecord::Event(*ev));
-    }
-    fn record_sample(&mut self, s: &PartitionSample) {
-        self.write_line(&TelemetryRecord::Sample(*s));
-    }
-    fn flush(&mut self) {
-        let r = self.w.flush();
-        self.note(r);
-    }
-    fn io_error(&self) -> Option<String> {
-        self.err.as_ref().map(|e| e.to_string())
-    }
-    fn set_bank(&mut self, bank: Option<u16>) {
-        self.bank = bank;
-    }
-}
-
-impl<W: Write + Send> Drop for JsonSink<W> {
-    fn drop(&mut self) {
-        // `BufWriter`'s own drop flushes but swallows the error; flush
-        // explicitly and say so when the trace lost data.
-        let r = self.w.flush();
-        self.note(r);
-        if let Some(e) = &self.err {
-            eprintln!("telemetry: JSON trace lost data: {e}");
+            eprintln!("telemetry: trace lost data: {e}");
         }
     }
 }
@@ -1387,16 +1184,80 @@ mod tests {
         assert!(!reader.is_empty());
     }
 
+    /// The exact CSV row and JSON line of each [`representative_records`]
+    /// entry, in order. Traces and the golden digests depend on these
+    /// bytes, so any change to them must be deliberate.
+    const PINNED: [(&str, &str); 15] = [
+        (
+            "sample,4096,0,100,128,0.250000,90,0,",
+            r#"{"record":"sample","access":4096,"part":0,"actual":100,"target":128,"aperture":0.250000,"window":90,"churn":0}"#,
+        ),
+        (
+            "sample,4096,unmanaged,65635,128,0.250000,90,0,",
+            r#"{"record":"sample","access":4096,"part":65535,"actual":65635,"target":128,"aperture":0.250000,"window":90,"churn":0}"#,
+        ),
+        (
+            "demotion,1,3,,,,,,",
+            r#"{"record":"demotion","access":1,"part":3}"#,
+        ),
+        (
+            "promotion,2,0,,,,,,",
+            r#"{"record":"promotion","access":2,"part":0}"#,
+        ),
+        (
+            "eviction,3,unmanaged,,,,,,forced=false",
+            r#"{"record":"eviction","access":3,"part":65535,"forced":false}"#,
+        ),
+        (
+            "eviction,4,1,,,,,,forced=true",
+            r#"{"record":"eviction","access":4,"part":1,"forced":true}"#,
+        ),
+        (
+            "setpoint,5,2,,,,,,direction=-1;window=127",
+            r#"{"record":"setpoint","access":5,"part":2,"direction":-1,"window":127}"#,
+        ),
+        (
+            "aperture,6,2,,,,,,aperture=0.500000",
+            r#"{"record":"aperture","access":6,"part":2,"aperture":0.500000}"#,
+        ),
+        (
+            "scrub,7,,,,,,,repairs=9",
+            r#"{"record":"scrub","access":7,"repairs":9}"#,
+        ),
+        (
+            "created,8,40,,,,,,target=2048",
+            r#"{"record":"created","access":8,"part":40,"target":2048}"#,
+        ),
+        (
+            "destroyed,9,40,,,,,,",
+            r#"{"record":"destroyed","access":9,"part":40}"#,
+        ),
+        (
+            "shared_hit,10,1,,,,,,owner=2",
+            r#"{"record":"shared_hit","access":10,"part":1,"owner":2}"#,
+        ),
+        (
+            "transfer,10,1,,,,,,from=2",
+            r#"{"record":"transfer","access":10,"part":1,"from":2}"#,
+        ),
+        (
+            "replica,11,3,,,,,,",
+            r#"{"record":"replica","access":11,"part":3}"#,
+        ),
+        (
+            "sample,8192,1,101,128,0.250000,90,0,shared=17;transfers=4",
+            r#"{"record":"sample","access":8192,"part":1,"actual":101,"target":128,"aperture":0.250000,"window":90,"churn":0,"shared":17,"transfers":4}"#,
+        ),
+    ];
+
     #[test]
-    fn csv_round_trips_every_record_kind() {
-        for rec in representative_records() {
-            let row = to_csv_row(&rec);
-            assert_eq!(row.split(',').count(), 9, "schema width: {row}");
-            let back = from_csv_row(&row).unwrap_or_else(|| panic!("parse {row}"));
-            assert_eq!(back, rec, "round trip of {row}");
+    fn renderers_write_the_pinned_bytes_for_every_record_kind() {
+        let records = representative_records();
+        assert_eq!(records.len(), PINNED.len());
+        for (rec, (csv, json)) in records.iter().zip(PINNED) {
+            assert_eq!(to_csv_row(rec), csv, "CSV row of {rec:?}");
+            assert_eq!(to_json_line(rec), json, "JSON line of {rec:?}");
         }
-        assert_eq!(from_csv_row(CSV_HEADER), None, "header is not a record");
-        assert_eq!(from_csv_row("garbage"), None);
     }
 
     #[test]
@@ -1413,7 +1274,7 @@ mod tests {
 
     #[test]
     fn csv_sink_writes_header_then_rows() {
-        let mut sink = CsvSink::new(Vec::new());
+        let mut sink = TraceSink::new(Vec::new(), Format::Csv);
         sink.record_event(&TelemetryEvent::Demotion {
             access: 1,
             part: PartitionId::from_index(0),
@@ -1422,10 +1283,42 @@ mod tests {
         sink.flush();
         let text = String::from_utf8(sink.w.clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], CSV_HEADER);
-        assert!(from_csv_row(lines[1]).is_some());
-        assert!(from_csv_row(lines[2]).is_some());
+        assert_eq!(
+            lines,
+            [
+                CSV_HEADER,
+                "demotion,1,0,,,,,,",
+                "sample,2,1,101,128,0.250000,90,0,"
+            ]
+        );
+    }
+
+    #[test]
+    fn trace_sink_format_follows_the_path_extension() {
+        let dir = std::env::temp_dir().join(format!("vantage-trace-format-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, want) in [
+            ("x.csv", Format::Csv),
+            ("x.CSV", Format::Csv),
+            ("x.json", Format::JsonLines),
+            ("x.jsonl", Format::JsonLines),
+            ("x", Format::JsonLines),
+        ] {
+            let path = dir.join(name);
+            let mut sink = TraceSink::create(&path).unwrap();
+            sink.record_event(&TelemetryEvent::Scrub {
+                access: 1,
+                repairs: 0,
+            });
+            drop(sink);
+            let text = std::fs::read_to_string(&path).unwrap();
+            let expected = match want {
+                Format::Csv => format!("{CSV_HEADER}\nscrub,1,,,,,,,repairs=0\n"),
+                Format::JsonLines => "{\"record\":\"scrub\",\"access\":1,\"repairs\":0}\n".into(),
+            };
+            assert_eq!(text, expected, "{name}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A writer that fails every operation (for the error-surfacing tests).
@@ -1448,7 +1341,7 @@ mod tests {
 
     #[test]
     fn file_sinks_surface_io_errors_instead_of_swallowing_them() {
-        let mut sink = CsvSink::new(BrokenPipe);
+        let mut sink = TraceSink::new(BrokenPipe, Format::Csv);
         assert_eq!(sink.io_error(), None);
         sink.record_event(&TelemetryEvent::Demotion {
             access: 1,
@@ -1457,7 +1350,7 @@ mod tests {
         let err = sink.io_error().expect("write failure surfaced");
         assert!(err.contains("pipe closed"), "{err}");
 
-        let mut sink = JsonSink::new(BrokenPipe);
+        let mut sink = TraceSink::new(BrokenPipe, Format::JsonLines);
         sink.flush();
         assert!(sink
             .io_error()
@@ -1465,7 +1358,7 @@ mod tests {
             .contains("pipe closed"));
 
         // The producer handle forwards the sink's sticky error.
-        let mut tele = Telemetry::new(Box::new(CsvSink::new(BrokenPipe)), 0);
+        let mut tele = Telemetry::new(Box::new(TraceSink::new(BrokenPipe, Format::Csv)), 0);
         tele.event(TelemetryEvent::Scrub {
             access: 1,
             repairs: 0,
@@ -1474,7 +1367,7 @@ mod tests {
         assert!(tele.io_error().is_some());
 
         // A shared (banked) wrapper forwards it too.
-        let shared = SharedSink::new(Box::new(JsonSink::new(BrokenPipe)));
+        let shared = SharedSink::new(Box::new(TraceSink::new(BrokenPipe, Format::JsonLines)));
         let mut tagged = shared.with_bank(3);
         tagged.record_event(&TelemetryEvent::Demotion {
             access: 2,
@@ -1489,7 +1382,7 @@ mod tests {
 
     #[test]
     fn json_sink_emits_one_object_per_line() {
-        let mut sink = JsonSink::new(Vec::new());
+        let mut sink = TraceSink::new(Vec::new(), Format::JsonLines);
         for rec in representative_records() {
             match rec {
                 TelemetryRecord::Event(ev) => sink.record_event(&ev),
@@ -1602,8 +1495,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_bank_tags_round_trip_and_are_ignored_by_parser() {
-        let mut sink = CsvSink::new(Vec::new());
+    fn csv_bank_tags_ride_in_the_detail_column() {
+        let mut sink = TraceSink::new(Vec::new(), Format::Csv);
         sink.set_bank(Some(3));
         sink.record_event(&TelemetryEvent::Demotion {
             access: 1,
@@ -1623,30 +1516,21 @@ mod tests {
         sink.flush();
         let text = String::from_utf8(sink.w.clone()).unwrap();
         let lines: Vec<&str> = text.lines().skip(1).collect();
-        assert!(lines[0].ends_with("bank=3"), "{}", lines[0]);
-        assert!(lines[1].contains("forced=true;bank=3"), "{}", lines[1]);
-        assert!(lines[2].ends_with("bank=3"), "{}", lines[2]);
-        assert!(!lines[3].contains("bank="), "tag cleared: {}", lines[3]);
-        // The tag is transparent to the parser: records decode unchanged.
         assert_eq!(
-            from_csv_row(lines[0]),
-            Some(TelemetryRecord::Event(TelemetryEvent::Demotion {
-                access: 1,
-                part: PartitionId::from_index(2)
-            }))
-        );
-        assert_eq!(
-            from_csv_row(lines[2]),
-            Some(TelemetryRecord::Sample(sample(
-                3,
-                PartitionId::from_index(1)
-            )))
+            lines,
+            [
+                "demotion,1,2,,,,,,bank=3",
+                "eviction,2,0,,,,,,forced=true;bank=3",
+                "sample,3,1,101,128,0.250000,90,0,bank=3",
+                // The tag is cleared.
+                "promotion,4,0,,,,,,",
+            ]
         );
     }
 
     #[test]
     fn json_bank_tags_round_trip_and_are_ignored_by_parser() {
-        let mut sink = JsonSink::new(Vec::new());
+        let mut sink = TraceSink::new(Vec::new(), Format::JsonLines);
         sink.set_bank(Some(7));
         sink.record_event(&TelemetryEvent::Scrub {
             access: 9,

@@ -1,6 +1,7 @@
 //! Integration tests for the telemetry layer: partition dynamics must be
 //! observable through a sink and show the controller converging after a
-//! target flip, and file sinks must produce parseable traces.
+//! target flip, and a trace file must hold exactly the records an in-memory
+//! ring captures from the same seeded run.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -8,8 +9,8 @@ use vantage_repro::cache::{LineAddr, SetAssocArray, ZArray};
 use vantage_repro::core::{VantageConfig, VantageLlc};
 use vantage_repro::partitioning::{AccessRequest, BaselineLlc, Llc, PartitionId, RankPolicy};
 use vantage_repro::telemetry::{
-    from_csv_row, from_json_line, CsvSink, JsonSink, RingSink, Telemetry, TelemetryRecord,
-    CSV_HEADER, UNMANAGED_PART,
+    from_json_line, to_csv_row, PartitionSample, RingSink, Telemetry, TelemetryEvent,
+    TelemetryRecord, TelemetrySink, TraceSink, CSV_HEADER, UNMANAGED_PART,
 };
 
 /// Uniform random traffic over two partitions with 6000-line working sets
@@ -116,23 +117,10 @@ fn sizes_and_apertures_converge_after_a_target_flip() {
     assert!(apertures > 0, "no aperture updates");
 }
 
-/// A JSON Lines trace written by a Vantage cache must parse line-by-line
-/// back into records, with both samples and events present.
-#[test]
-fn json_trace_round_trips_through_a_file() {
-    let dir = std::env::temp_dir().join(format!("vantage-telemetry-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("trace.json");
-
-    let mut llc = VantageLlc::try_new(
-        Box::new(ZArray::new(4 * 1024, 4, 52, 9)),
-        2,
-        VantageConfig::default(),
-        9,
-    )
-    .expect("valid Vantage config");
-    let sink = JsonSink::create(&path).unwrap();
-    assert!(llc.set_telemetry(Telemetry::new(Box::new(sink), 512)));
+/// 60K seeded accesses over two partitions' 3000-line working sets, with
+/// telemetry sampled every 512 accesses into `sink`.
+fn traced_run(llc: &mut dyn Llc, sink: Box<dyn TelemetrySink>) {
+    assert!(llc.set_telemetry(Telemetry::new(sink, 512)));
     let mut rng = SmallRng::seed_from_u64(5);
     for _ in 0..60_000u64 {
         let p = (rng.gen::<u32>() % 2) as usize;
@@ -142,63 +130,108 @@ fn json_trace_round_trips_through_a_file() {
             LineAddr(base + rng.gen_range(0..3000u64)),
         ));
     }
-    llc.take_telemetry(); // drop flushes the file
-
-    let body = std::fs::read_to_string(&path).unwrap();
-    let mut samples = 0;
-    let mut events = 0;
-    for line in body.lines().filter(|l| !l.trim().is_empty()) {
-        match from_json_line(line) {
-            Some(TelemetryRecord::Sample(_)) => samples += 1,
-            Some(TelemetryRecord::Event(_)) => events += 1,
-            None => panic!("unparseable JSON line: {line}"),
-        }
-    }
-    assert!(samples > 10, "too few samples: {samples}");
-    assert!(events > 0, "no events in trace");
-    let _ = std::fs::remove_file(&path);
+    llc.take_telemetry(); // dropping the handle flushes a file sink
 }
 
-/// A CSV trace from a *baseline* (non-Vantage) cache must carry the header
-/// and parse row-by-row — the observation API is scheme-agnostic.
-#[test]
-fn baseline_csv_trace_parses_row_by_row() {
+/// Every record an in-memory ring captures from [`traced_run`] on `llc`.
+fn ring_capture(llc: &mut dyn Llc) -> Vec<TelemetryRecord> {
+    let (sink, reader) = RingSink::with_capacity(1 << 20);
+    traced_run(llc, Box::new(sink));
+    assert_eq!(reader.overwritten(), 0, "ring too small for the run");
+    let records = reader.records();
+    let samples = records
+        .iter()
+        .filter(|r| matches!(r, TelemetryRecord::Sample(_)))
+        .count();
+    assert!(samples > 10, "too few samples: {samples}");
+    assert!(samples < records.len(), "no events in the run");
+    records
+}
+
+/// Runs [`traced_run`] on `llc` into a trace file named `name` and returns
+/// the file's contents.
+fn file_trace(llc: &mut dyn Llc, name: &str) -> String {
     let dir = std::env::temp_dir().join(format!("vantage-telemetry-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("baseline.csv");
-
-    let mut llc = BaselineLlc::try_new(
-        Box::new(SetAssocArray::hashed(4 * 1024, 16, 1)),
-        2,
-        RankPolicy::Lru,
-    )
-    .expect("valid baseline geometry");
-    let sink = CsvSink::create(&path).unwrap();
-    assert!(llc.set_telemetry(Telemetry::new(Box::new(sink), 512)));
-    let mut rng = SmallRng::seed_from_u64(5);
-    for _ in 0..60_000u64 {
-        let p = (rng.gen::<u32>() % 2) as usize;
-        let base = ((p as u64) + 1) << 40;
-        llc.access(AccessRequest::read(
-            PartitionId::from_index(p),
-            LineAddr(base + rng.gen_range(0..3000u64)),
-        ));
-    }
-    llc.take_telemetry();
-
+    let path = dir.join(name);
+    traced_run(llc, Box::new(TraceSink::create(&path).unwrap()));
     let body = std::fs::read_to_string(&path).unwrap();
-    let mut lines = body.lines().filter(|l| !l.trim().is_empty());
-    assert_eq!(lines.next(), Some(CSV_HEADER), "missing CSV header");
-    let mut samples = 0;
-    let mut evictions = 0;
-    for row in lines {
-        match from_csv_row(row) {
-            Some(TelemetryRecord::Sample(_)) => samples += 1,
-            Some(TelemetryRecord::Event(_)) => evictions += 1,
-            None => panic!("unparseable CSV row: {row}"),
-        }
-    }
-    assert!(samples > 10, "too few samples: {samples}");
-    assert!(evictions > 0, "baseline emitted no eviction events");
     let _ = std::fs::remove_file(&path);
+    body
+}
+
+/// `rec` at the precision a trace stores it: apertures at six decimals.
+fn at_trace_precision(rec: TelemetryRecord) -> TelemetryRecord {
+    let round = |a: f32| format!("{a:.6}").parse::<f32>().unwrap();
+    match rec {
+        TelemetryRecord::Sample(s) => TelemetryRecord::Sample(PartitionSample {
+            aperture: round(s.aperture),
+            ..s
+        }),
+        TelemetryRecord::Event(TelemetryEvent::ApertureUpdate {
+            access,
+            part,
+            aperture,
+        }) => TelemetryRecord::Event(TelemetryEvent::ApertureUpdate {
+            access,
+            part,
+            aperture: round(aperture),
+        }),
+        other => other,
+    }
+}
+
+/// A JSON Lines trace written by a Vantage cache must decode, line by line,
+/// into exactly the records a ring captures from the same seeded run.
+#[test]
+fn json_trace_round_trips_through_a_file() {
+    let vantage = || {
+        VantageLlc::try_new(
+            Box::new(ZArray::new(4 * 1024, 4, 52, 9)),
+            2,
+            VantageConfig::default(),
+            9,
+        )
+        .expect("valid Vantage config")
+    };
+    let want = ring_capture(&mut vantage());
+    let body = file_trace(&mut vantage(), "trace.json");
+    let mut lines = 0;
+    for (i, line) in body.lines().enumerate() {
+        let rec = from_json_line(line).unwrap_or_else(|| panic!("unparseable JSON line: {line}"));
+        assert_eq!(
+            Some(rec),
+            want.get(i).copied().map(at_trace_precision),
+            "record {i}"
+        );
+        lines += 1;
+    }
+    assert_eq!(lines, want.len(), "trace length");
+}
+
+/// A CSV trace from a *baseline* (non-Vantage) cache must be the header
+/// followed by one row per record a ring captures from the same seeded
+/// run — the observation API is scheme-agnostic.
+#[test]
+fn baseline_csv_trace_parses_row_by_row() {
+    let baseline = || {
+        BaselineLlc::try_new(
+            Box::new(SetAssocArray::hashed(4 * 1024, 16, 1)),
+            2,
+            RankPolicy::Lru,
+        )
+        .expect("valid baseline geometry")
+    };
+    let want = ring_capture(&mut baseline());
+    let body = file_trace(&mut baseline(), "baseline.csv");
+    let mut lines = body.lines();
+    assert_eq!(lines.next(), Some(CSV_HEADER), "missing CSV header");
+    let mut rows = 0;
+    for (i, row) in lines.enumerate() {
+        let expected = want.get(i).map(to_csv_row);
+        assert_eq!(Some(row), expected.as_deref(), "row {i}");
+        rows += 1;
+    }
+    assert_eq!(rows, want.len(), "trace length");
+    assert!(body.ends_with('\n'), "unterminated last row");
 }
